@@ -137,7 +137,9 @@ impl NodeActivityAccumulator {
     /// resulting accumulator is bit-identical to 64 scalar folds. Unlike
     /// the zero-delay [`add_word_cycle`](Self::add_word_cycle), per-lane
     /// counts can exceed 1 (glitches), so the `nᵢ² = nᵢ` shortcut does not
-    /// apply; the per-(net, lane) counts are recovered from the commit log.
+    /// apply; the sums of squares come from the bit-sliced lane counts
+    /// ([`logicsim::WordGlitchActivity::count_planes`]): with `P_p` the lanes
+    /// whose count has bit `p` set, `Σ_l n_l² = Σ_{p,q} 2^(p+q) |P_p ∩ P_q|`.
     ///
     /// # Panics
     ///
@@ -145,38 +147,22 @@ impl NodeActivityAccumulator {
     pub fn add_glitch_word_cycle(&mut self, activity: &logicsim::WordGlitchActivity) {
         debug_assert_eq!(activity.num_nets(), self.totals.len());
         self.observations += LANES as u64;
-        // Per-(net, lane) transition counts, rebuilt from the commit log:
-        // only nets that actually moved are processed below.
-        let mut counts: Vec<u16> = vec![0; self.totals.len() * LANES];
-        for &(net, mask) in activity.events() {
-            let base = net as usize * LANES;
-            let mut m = mask;
-            while m != 0 {
-                let lane = m.trailing_zeros() as usize;
-                m &= m - 1;
-                counts[base + lane] += 1;
+        for (net, &total) in activity.totals().iter().enumerate() {
+            if total == 0 {
+                continue;
             }
-        }
-        for (net, _) in activity
-            .totals()
-            .iter()
-            .enumerate()
-            .filter(|&(_, &t)| t != 0)
-        {
-            let base = net * LANES;
-            let settled = activity.settled_diff_words()[net];
-            let mut total = 0u64;
+            let planes = activity.count_planes(net);
             let mut total_sq = 0u64;
-            for (lane, &n) in counts[base..base + LANES].iter().enumerate() {
-                let n = u64::from(n);
-                total += n;
-                total_sq += n * n;
-                // A settled lane change implies at least one commit, so the
-                // subtraction cannot underflow.
-                debug_assert!(n >= (settled >> lane) & 1);
+            for (p, &plane_p) in planes.iter().enumerate() {
+                for (q, &plane_q) in planes.iter().enumerate() {
+                    total_sq += u64::from((plane_p & plane_q).count_ones()) << (p + q);
+                }
             }
+            let settled = activity.settled_diff_words()[net];
             self.totals[net] += total;
             self.totals_sq[net] += total_sq;
+            // A settled lane change implies at least one commit, so the
+            // subtraction cannot underflow.
             self.glitch_totals[net] += total - u64::from(settled.count_ones());
         }
     }

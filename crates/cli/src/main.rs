@@ -524,7 +524,8 @@ fn sim_profile_json(estimate: &Estimate) -> String {
             "{{\"events_scheduled\": {}, \"events_cancelled\": {}, \
              \"wheel_revolutions\": {}, \"inline_evals\": {}, \"gather_evals\": {}, \
              \"levelized_cycles\": {}, \"wheel_cycles\": {}, \"tiles_settled\": {}, \
-             \"time_sliced_cycles\": {}, \"time_sliced_word_evals\": {}, \
+             \"time_sliced_cycles\": {}, \"time_sliced_word_passes\": {}, \
+             \"time_sliced_word_evals\": {}, \
              \"time_sliced_lane_events\": {}, \"time_sliced_lane_cancellations\": {}}}",
             p.events_scheduled,
             p.events_cancelled,
@@ -535,6 +536,7 @@ fn sim_profile_json(estimate: &Estimate) -> String {
             p.wheel_cycles,
             p.tiles_settled,
             p.time_sliced_cycles,
+            p.time_sliced_word_passes,
             p.time_sliced_word_evals,
             p.time_sliced_lane_events,
             p.time_sliced_lane_cancellations,

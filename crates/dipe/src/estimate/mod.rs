@@ -227,6 +227,11 @@ pub struct SimProfile {
     /// under the event-driven backend).
     #[serde(default)]
     pub time_sliced_cycles: u64,
+    /// Word passes of the time-sliced backend: each measures a batch of up
+    /// to 64 deferred samples, so `time_sliced_cycles` over this is the
+    /// mean number of lanes used per pass.
+    #[serde(default)]
+    pub time_sliced_word_passes: u64,
     /// Word-wide (64-lane) gate evaluations by the time-sliced backend.
     #[serde(default)]
     pub time_sliced_word_evals: u64,
@@ -251,6 +256,7 @@ impl SimProfile {
         self.wheel_cycles += other.wheel_cycles;
         self.tiles_settled += other.tiles_settled;
         self.time_sliced_cycles += other.time_sliced_cycles;
+        self.time_sliced_word_passes += other.time_sliced_word_passes;
         self.time_sliced_word_evals += other.time_sliced_word_evals;
         self.time_sliced_lane_events += other.time_sliced_lane_events;
         self.time_sliced_lane_cancellations += other.time_sliced_lane_cancellations;
@@ -652,6 +658,10 @@ pub(crate) enum BlockSampling {
 /// samples at `interval` decorrelation cycles each, apply the block-wise
 /// stopping policy, and honour the cycle deadline with per-sample
 /// granularity (the overshoot is at most one sample, never a block).
+/// Samples are drawn in batches that end at every block boundary and are
+/// sized by [`PowerSampler::batch_size`](crate::sampler::PowerSampler::batch_size),
+/// so every stopping decision and return point matches a sample-by-sample
+/// loop.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn sample_in_blocks(
     sampler: &mut crate::sampler::PowerSampler<'_>,
@@ -665,22 +675,25 @@ pub(crate) fn sample_in_blocks(
     tracer: &telemetry::Tracer,
 ) -> BlockSampling {
     loop {
-        if sampler.cycle_counts().total() >= deadline {
+        let to_boundary = block_size - sample.len() % block_size;
+        let count = sampler.batch_size(interval, deadline, to_boundary);
+        if count == 0 {
             return BlockSampling::OutOfBudget;
         }
-        let power_w = sampler.sample_power_w(interval);
-        match push_block_sample(
-            sample,
-            power_w,
-            criterion,
-            block_size,
-            max_samples,
-            last_rhw,
-            tracer,
-        ) {
-            SamplePush::Continue => {}
-            SamplePush::Satisfied(decision) => return BlockSampling::Satisfied(decision),
-            SamplePush::Exhausted(decision) => return BlockSampling::BudgetExhausted(decision),
+        for &power_w in sampler.sample_batch_w(interval, count) {
+            match push_block_sample(
+                sample,
+                power_w,
+                criterion,
+                block_size,
+                max_samples,
+                last_rhw,
+                tracer,
+            ) {
+                SamplePush::Continue => {}
+                SamplePush::Satisfied(decision) => return BlockSampling::Satisfied(decision),
+                SamplePush::Exhausted(decision) => return BlockSampling::BudgetExhausted(decision),
+            }
         }
     }
 }

@@ -144,6 +144,11 @@ impl IntervalSelector {
     /// total simulated cycle count reaches `deadline_cycles` (checked before
     /// every sample, so the overshoot is at most one sample).
     ///
+    /// Samples are drawn in batches ([`PowerSampler::sample_batch_w`]) that
+    /// never cross a trial's end and are sized by
+    /// [`PowerSampler::batch_size`], so the selection, its trials and the
+    /// cycle counts at every return match a sample-by-sample loop.
+    ///
     /// # Errors
     ///
     /// Returns [`DipeError::NoIndependenceInterval`] if no interval up to the
@@ -156,12 +161,18 @@ impl IntervalSelector {
         deadline_cycles: u64,
     ) -> Result<SelectorStep, DipeError> {
         loop {
-            if sampler.cycle_counts().total() >= deadline_cycles {
+            let count = sampler.batch_size(
+                self.interval,
+                deadline_cycles,
+                self.sequence_length - self.sequence.len(),
+            );
+            if count == 0 {
                 return Ok(SelectorStep::OutOfBudget);
             }
-            let power_w = sampler.sample_power_w(self.interval);
-            if let Some(selection) = self.push_sample(power_w)? {
-                return Ok(SelectorStep::Selected(selection));
+            for &power_w in sampler.sample_batch_w(self.interval, count) {
+                if let Some(selection) = self.push_sample(power_w)? {
+                    return Ok(SelectorStep::Selected(selection));
+                }
             }
         }
     }

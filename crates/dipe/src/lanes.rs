@@ -18,10 +18,10 @@
 //! block-wise stopping. When the configured delay annotation is
 //! slot-representable, the measurement itself is word-parallel too: one
 //! [`TimeSlicedSimulator`] pass glitch-simulates **all** sampling lanes of
-//! the cycle at once, and each lane projects its own per-net counts out of
-//! the shared [`logicsim::WordGlitchActivity`]. Otherwise every sampling
-//! lane falls back to a scalar [`EventDrivenSimulator`] cycle — bit-identical
-//! counts, scalar speed. Lanes finish independently; finished lanes stop
+//! the cycle at once, and one projection of the shared
+//! [`logicsim::WordGlitchActivity`] hands out each sampling lane's per-net
+//! counts. Otherwise every sampling lane falls back to a scalar
+//! [`EventDrivenSimulator`] cycle — bit-identical counts, scalar speed. Lanes finish independently; finished lanes stop
 //! consuming their input stream and their word bits become don't-cares.
 //!
 //! Every statistical field of the per-lane [`Estimate`] is **bit-exact**
@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use logicsim::{
-    pack_lane_bit, BitParallelSimulator, EventDrivenSimulator, GlitchActivity, TimeSlicedSimulator,
+    pack_lane_bit, BitParallelSimulator, EventDrivenSimulator, LaneActivities, TimeSlicedSimulator,
     LANES,
 };
 use netlist::Circuit;
@@ -260,7 +260,7 @@ fn run_group(
     let mut pattern = vec![false; circuit.num_primary_inputs()];
     let mut words = vec![0u64; circuit.num_primary_inputs()];
     let mut prev = vec![false; circuit.num_nets()];
-    let mut scratch = GlitchActivity::zeroed(circuit.num_nets());
+    let mut lane_scratch = LaneActivities::zeroed(circuit.num_nets());
     let mut measuring: Vec<usize> = Vec::with_capacity(seed_offsets.len());
     let mut glitch = LaneGlitchSummary::default();
     let mut glitch_power_sum = 0.0f64;
@@ -313,19 +313,21 @@ fn run_group(
         match (&mut measure, measuring.as_slice()) {
             (_, []) => {}
             (GroupMeasure::TimeSliced(ts), sampling) => {
-                // One word pass glitch-simulates all 64 lanes; each sampling
-                // lane projects its own per-net counts out of the shared
-                // record (non-sampling lanes' bits are simulated but never
-                // read — their stimulus is the same next-state step the
-                // bit-parallel simulator takes anyway).
-                let activity = ts.simulate_cycle(sim.words(), &words);
+                // One word pass glitch-simulates all 64 lanes; one
+                // projection of the shared record hands out each sampling
+                // lane's per-net counts (non-sampling lanes' bits are
+                // simulated but never read — their stimulus is the same
+                // next-state step the bit-parallel simulator takes anyway).
+                let mut projection = ts
+                    .simulate_cycle(sim.words(), &words)
+                    .project_lanes(&mut lane_scratch);
                 for &lane_index in sampling {
-                    activity.lane_activity_into(lane_index, &mut scratch);
-                    let power_w = calculator.cycle_power_w(scratch.total());
+                    let record = projection.lane(lane_index);
+                    let power_w = calculator.cycle_power_w(record.total());
                     glitch.measured_cycles += 1;
-                    glitch.total_transitions += scratch.total().total_transitions();
-                    glitch.settled_transitions += scratch.settled().total_transitions();
-                    glitch_power_sum += power_w - calculator.cycle_power_w(scratch.settled());
+                    glitch.total_transitions += record.total().total_transitions();
+                    glitch.settled_transitions += record.settled().total_transitions();
+                    glitch_power_sum += power_w - calculator.cycle_power_w(record.settled());
                     let lane = &mut lanes[lane_index];
                     lane.counts.measured_cycles += 1;
                     record_measurement(lane, power_w, config, &estimator_name, &started);

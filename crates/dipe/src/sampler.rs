@@ -10,10 +10,22 @@
 //! report bit-identical counts, so the selection never changes a result.
 //! The [`PowerSampler`] encapsulates this machinery and keeps the cycle
 //! accounting that the efficiency comparisons need.
+//!
+//! # Deferred measurement
+//!
+//! A measured cycle's power is a pure function of two inputs: the stable
+//! net values the zero-delay phase hands over and the next input pattern.
+//! Neither measurement backend carries state across cycles. Measurements can
+//! therefore be deferred: [`PowerSampler::sample_batch_w`] runs the
+//! zero-delay phase of up to [`LANES`] samples, packing each sample's two
+//! inputs into its own lane, and the time-sliced backend then measures the
+//! whole batch in one word pass. The event-driven backend measures sample by
+//! sample. Either way the powers, their order and the cycle accounting equal
+//! those of drawing the samples one at a time.
 
 use logicsim::{
-    broadcast, CompiledSimulator, EventDrivenSimulator, GlitchActivity, PartitionedSimulator,
-    TimeSlicedSimulator,
+    pack_lane_bit, CompiledSimulator, EventDrivenSimulator, GlitchActivity, LaneActivities,
+    PartitionedSimulator, TimeSlicedSimulator, LANES,
 };
 use netlist::Circuit;
 use power::PowerCalculator;
@@ -113,20 +125,22 @@ impl<'c> ZeroSim<'c> {
 /// The delay-aware backend the measured cycles run on, selected by
 /// [`MeasureMode`]. Both variants report bit-identical per-net glitch
 /// counts, so the choice never changes a power figure — only throughput.
-/// The scalar sampler drives the time-sliced backend in broadcast mode
-/// (all 64 lanes carry the same replication) and reads lane 0; the
-/// replicated lane runner (`crate::lanes`) is where the 64 lanes carry
-/// distinct samples.
+/// The time-sliced backend measures a batch of deferred samples in one word
+/// pass, one sample per lane (see [`PowerSampler::sample_batch_w`]).
 #[derive(Debug)]
 enum MeasureSim<'c> {
     EventDriven(EventDrivenSimulator<'c>),
     TimeSliced {
         sim: TimeSlicedSimulator<'c>,
-        /// Reused broadcast buffers (one word per net / per primary input).
+        /// Reused batch stimulus: lane `l` of word `i` holds sample `l`'s
+        /// previous stable value of net `i` / its pattern bit of input `i`.
         prev_words: Vec<u64>,
         input_words: Vec<u64>,
-        /// Reused lane-0 projection handed to observers.
-        scratch: GlitchActivity,
+        /// Reused per-lane projection scratch (records handed to observers).
+        lanes: LaneActivities,
+        /// Cycles measured through this backend (a word pass measures up
+        /// to 64).
+        measured_cycles: u64,
     },
 }
 
@@ -141,7 +155,8 @@ impl<'c> MeasureSim<'c> {
             sim,
             prev_words: vec![0; circuit.num_nets()],
             input_words: vec![0; circuit.num_primary_inputs()],
-            scratch: GlitchActivity::zeroed(circuit.num_nets()),
+            lanes: LaneActivities::zeroed(circuit.num_nets()),
+            measured_cycles: 0,
         };
         match mode {
             MeasureMode::EventDriven => Ok(MeasureSim::EventDriven(
@@ -202,8 +217,8 @@ pub struct PowerSampler<'c> {
     counts: CycleCounts,
     /// Reused input-pattern buffer (one slot per primary input).
     pattern: Vec<bool>,
-    /// Reused previous-stable-values buffer for measured cycles.
-    prev: Vec<bool>,
+    /// Reused per-batch power buffer.
+    powers: Vec<f64>,
 }
 
 impl<'c> PowerSampler<'c> {
@@ -240,7 +255,7 @@ impl<'c> PowerSampler<'c> {
             stream,
             counts: CycleCounts::default(),
             pattern: vec![false; circuit.num_primary_inputs()],
-            prev: vec![false; circuit.num_nets()],
+            powers: Vec::with_capacity(LANES),
         })
     }
 
@@ -283,7 +298,7 @@ impl<'c> PowerSampler<'c> {
             stream,
             counts: CycleCounts::default(),
             pattern: vec![false; circuit.num_primary_inputs()],
-            prev: vec![false; circuit.num_nets()],
+            powers: Vec::with_capacity(LANES),
         })
     }
 
@@ -325,9 +340,14 @@ impl<'c> PowerSampler<'c> {
                 profile.levelized_cycles = counters.levelized_cycles;
                 profile.wheel_cycles = counters.wheel_cycles;
             }
-            MeasureSim::TimeSliced { sim, .. } => {
+            MeasureSim::TimeSliced {
+                sim,
+                measured_cycles,
+                ..
+            } => {
                 let counters = sim.counters();
-                profile.time_sliced_cycles = counters.slot_cycles + counters.levelized_cycles;
+                profile.time_sliced_cycles = *measured_cycles;
+                profile.time_sliced_word_passes = counters.slot_cycles + counters.levelized_cycles;
                 profile.time_sliced_word_evals = counters.word_evals;
                 profile.time_sliced_lane_events = counters.lane_events_scheduled;
                 profile.time_sliced_lane_cancellations = counters.lane_events_cancelled;
@@ -347,10 +367,7 @@ impl<'c> PowerSampler<'c> {
     /// simulation only (no power recorded). Used for the initial warm-up and
     /// for the decorrelation cycles of the independence interval.
     pub fn advance(&mut self, cycles: usize) {
-        for _ in 0..cycles {
-            self.stream.next_pattern_into(&mut self.pattern);
-            self.zero.step_state_only(&self.pattern);
-        }
+        decorrelate(&mut self.stream, &mut self.zero, &mut self.pattern, cycles);
         self.counts.zero_delay_cycles += cycles as u64;
     }
 
@@ -363,7 +380,7 @@ impl<'c> PowerSampler<'c> {
     /// the power dissipated in that cycle, in watts. The circuit state
     /// advances exactly one cycle.
     pub fn measure_cycle_power_w(&mut self) -> f64 {
-        self.measure_cycle(|_| {})
+        self.sample_batch(0, 1, |_| {})[0]
     }
 
     /// Like [`measure_cycle_power_w`](Self::measure_cycle_power_w), but hands
@@ -374,65 +391,13 @@ impl<'c> PowerSampler<'c> {
     where
         F: FnOnce(&GlitchActivity),
     {
-        self.measure_cycle(observe)
-    }
-
-    fn measure_cycle<F>(&mut self, observe: F) -> f64
-    where
-        F: FnOnce(&GlitchActivity),
-    {
-        self.stream.next_pattern_into(&mut self.pattern);
-        self.prev.copy_from_slice(self.zero.values());
-        let power_w = match &mut self.full {
-            MeasureSim::EventDriven(sim) => {
-                let activity = sim.simulate_cycle(&self.prev, &self.pattern);
-                observe(activity);
-                // Eq. (1) charges every transition, glitches included.
-                self.calculator.cycle_power_w(activity.total())
-            }
-            MeasureSim::TimeSliced {
-                sim,
-                prev_words,
-                input_words,
-                scratch,
-            } => {
-                // Broadcast the single replication to all lanes and read
-                // lane 0 back: the projected counts — and therefore the
-                // power — are bit-identical to the event-driven backend's.
-                for (word, &bit) in prev_words.iter_mut().zip(&self.prev) {
-                    *word = broadcast(bit);
-                }
-                for (word, &bit) in input_words.iter_mut().zip(&self.pattern) {
-                    *word = broadcast(bit);
-                }
-                let activity = sim.simulate_cycle(prev_words, input_words);
-                activity.lane_activity_into(0, scratch);
-                observe(scratch);
-                self.calculator.cycle_power_w(scratch.total())
-            }
-        };
-        // Keep the cheap simulator's state in sync (same stable values).
-        self.zero.step_state_only(&self.pattern);
-        #[cfg(debug_assertions)]
-        match &self.full {
-            MeasureSim::EventDriven(sim) => {
-                debug_assert_eq!(sim.stable_values(), self.zero.values());
-            }
-            MeasureSim::TimeSliced { sim, .. } => {
-                for (net, &word) in sim.settled_words().iter().enumerate() {
-                    debug_assert_eq!(word & 1 != 0, self.zero.values()[net], "net {net}");
-                }
-            }
-        }
-        self.counts.measured_cycles += 1;
-        power_w
+        self.sample_power_w_observing(0, observe)
     }
 
     /// Draws one power sample at the given independence interval: advances
     /// `interval` decorrelation cycles, then measures one cycle.
     pub fn sample_power_w(&mut self, interval: usize) -> f64 {
-        self.advance(interval);
-        self.measure_cycle_power_w()
+        self.sample_batch(interval, 1, |_| {})[0]
     }
 
     /// Like [`sample_power_w`](Self::sample_power_w), exposing the measured
@@ -441,21 +406,143 @@ impl<'c> PowerSampler<'c> {
     where
         F: FnOnce(&GlitchActivity),
     {
-        self.advance(interval);
-        self.measure_cycle(observe)
+        let mut observe = Some(observe);
+        self.sample_batch(interval, 1, |activity| {
+            if let Some(observe) = observe.take() {
+                observe(activity);
+            }
+        })[0]
+    }
+
+    /// Draws `count` power samples at the given independence interval and
+    /// returns their powers in sample order — bit-identical to `count`
+    /// calls of [`sample_power_w`](Self::sample_power_w), cycle accounting
+    /// included.
+    ///
+    /// The time-sliced backend measures the whole batch in one word pass:
+    /// sample `l`'s previous stable values and pattern go into lane `l`
+    /// (see the [module docs](self) for why deferring is exact). The
+    /// event-driven backend measures sample by sample.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` exceeds [`LANES`].
+    pub fn sample_batch_w(&mut self, interval: usize, count: usize) -> &[f64] {
+        self.sample_batch(interval, count, |_| {})
+    }
+
+    /// How many samples at `interval` to draw in one batch so a batched
+    /// loop stops exactly where a per-sample loop checking the cycle total
+    /// against `deadline` before every sample would: at most `limit`, at
+    /// most [`LANES`], and 0 once the deadline is reached. The overshoot
+    /// past the deadline thus stays below one sample.
+    pub fn batch_size(&self, interval: usize, deadline: u64, limit: usize) -> usize {
+        let left = deadline.saturating_sub(self.counts.total());
+        let per_sample = interval as u64 + 1;
+        left.div_ceil(per_sample).min(limit.min(LANES) as u64) as usize
+    }
+
+    fn sample_batch<F>(&mut self, interval: usize, count: usize, mut observe: F) -> &[f64]
+    where
+        F: FnMut(&GlitchActivity),
+    {
+        assert!(count <= LANES, "a batch holds at most {LANES} samples");
+        self.powers.clear();
+        if count == 0 {
+            return &self.powers;
+        }
+        match &mut self.full {
+            MeasureSim::EventDriven(sim) => {
+                for _ in 0..count {
+                    decorrelate(
+                        &mut self.stream,
+                        &mut self.zero,
+                        &mut self.pattern,
+                        interval,
+                    );
+                    self.stream.next_pattern_into(&mut self.pattern);
+                    let activity = sim.simulate_cycle(self.zero.values(), &self.pattern);
+                    observe(activity);
+                    // Eq. (1) charges every transition, glitches included.
+                    self.powers
+                        .push(self.calculator.cycle_power_w(activity.total()));
+                    self.zero.step_state_only(&self.pattern);
+                    debug_assert_eq!(sim.stable_values(), self.zero.values());
+                }
+            }
+            MeasureSim::TimeSliced {
+                sim,
+                prev_words,
+                input_words,
+                lanes,
+                measured_cycles,
+            } => {
+                for lane in 0..count {
+                    decorrelate(
+                        &mut self.stream,
+                        &mut self.zero,
+                        &mut self.pattern,
+                        interval,
+                    );
+                    self.stream.next_pattern_into(&mut self.pattern);
+                    for (word, &bit) in prev_words.iter_mut().zip(self.zero.values()) {
+                        pack_lane_bit(word, lane, bit);
+                    }
+                    for (word, &bit) in input_words.iter_mut().zip(&self.pattern) {
+                        pack_lane_bit(word, lane, bit);
+                    }
+                    self.zero.step_state_only(&self.pattern);
+                }
+                // The unused lanes repeat the last sample (sign extension of
+                // its bit): they trigger no evaluation the sample does not.
+                let shift = (LANES - count) as u32;
+                if shift > 0 {
+                    for word in prev_words.iter_mut().chain(input_words.iter_mut()) {
+                        *word = (((*word << shift) as i64) >> shift) as u64;
+                    }
+                }
+                let mut projection = sim
+                    .simulate_cycle(prev_words, input_words)
+                    .project_lanes(lanes);
+                for lane in 0..count {
+                    let record = projection.lane(lane);
+                    observe(record);
+                    self.powers
+                        .push(self.calculator.cycle_power_w(record.total()));
+                }
+                *measured_cycles += count as u64;
+                // The last sample's settled values are the zero-delay state.
+                #[cfg(debug_assertions)]
+                for (net, &word) in sim.settled_words().iter().enumerate() {
+                    debug_assert_eq!(
+                        (word >> (count - 1)) & 1 != 0,
+                        self.zero.values()[net],
+                        "net {net}"
+                    );
+                }
+            }
+        }
+        self.counts.zero_delay_cycles += (interval * count) as u64;
+        self.counts.measured_cycles += count as u64;
+        &self.powers
     }
 
     /// Collects an ordered power sequence of `length` observations in which
     /// consecutive observations are separated by `interval` decorrelation
     /// cycles. This is the sequence fed to the randomness test (Fig. 2).
     pub fn collect_sequence(&mut self, length: usize, interval: usize) -> Vec<f64> {
-        (0..length).map(|_| self.sample_power_w(interval)).collect()
+        let mut sequence = Vec::with_capacity(length);
+        while sequence.len() < length {
+            let count = (length - sequence.len()).min(LANES);
+            sequence.extend_from_slice(self.sample_batch_w(interval, count));
+        }
+        sequence
     }
 
     /// Measures `cycles` *consecutive* clock cycles and returns their power
     /// values — the brute-force reference simulation of the `SIM` column.
     pub fn measure_consecutive_cycles_w(&mut self, cycles: usize) -> Vec<f64> {
-        (0..cycles).map(|_| self.measure_cycle_power_w()).collect()
+        self.collect_sequence(cycles, 0)
     }
 
     /// Captures the sampler's exact state: input-stream position, latch
@@ -508,6 +595,19 @@ impl<'c> PowerSampler<'c> {
         self.zero.reset_to(&state.latch_state, &state.input_pattern);
         self.counts = state.cycle_counts;
         Ok(())
+    }
+}
+
+/// Runs `cycles` zero-delay decorrelation cycles on freshly drawn patterns.
+fn decorrelate(
+    stream: &mut InputStream,
+    zero: &mut ZeroSim<'_>,
+    pattern: &mut [bool],
+    cycles: usize,
+) {
+    for _ in 0..cycles {
+        stream.next_pattern_into(pattern);
+        zero.step_state_only(pattern);
     }
 }
 
@@ -666,6 +766,41 @@ mod tests {
             );
             assert_eq!(event.cycle_counts(), sliced.cycle_counts());
         }
+    }
+
+    #[test]
+    fn batches_equal_single_draws_under_both_backends() {
+        let (c, config) = sampler_for("s298", 21);
+        for mode in [MeasureMode::TimeSliced, MeasureMode::EventDriven] {
+            let config = config.clone().with_measure_mode(mode);
+            let mut batched = PowerSampler::new(&c, &config, &InputModel::uniform(), 0).unwrap();
+            let mut single = PowerSampler::new(&c, &config, &InputModel::uniform(), 0).unwrap();
+            for (interval, count) in [(0, 1), (2, 37), (1, LANES), (3, 0)] {
+                let expected: Vec<f64> = (0..count)
+                    .map(|_| single.sample_power_w(interval))
+                    .collect();
+                assert_eq!(
+                    batched.sample_batch_w(interval, count),
+                    expected,
+                    "{mode:?}"
+                );
+                assert_eq!(batched.cycle_counts(), single.cycle_counts());
+            }
+        }
+    }
+
+    #[test]
+    fn batch_size_stops_where_per_sample_deadline_checks_would() {
+        let (c, config) = sampler_for("s27", 1);
+        let mut s = PowerSampler::new(&c, &config, &InputModel::uniform(), 0).unwrap();
+        s.advance(10);
+        // At interval 2 a sample costs 3 cycles: 10 → 13 → 16 crosses 15.
+        assert_eq!(s.batch_size(2, 15, 100), 2);
+        assert_eq!(s.batch_size(2, 16, 100), 2);
+        assert_eq!(s.batch_size(2, 17, 100), 3);
+        assert_eq!(s.batch_size(2, 10, 100), 0);
+        assert_eq!(s.batch_size(0, u64::MAX, 100), LANES);
+        assert_eq!(s.batch_size(0, u64::MAX, 5), 5);
     }
 
     #[test]

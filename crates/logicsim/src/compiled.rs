@@ -321,12 +321,7 @@ pub const fn broadcast(value: bool) -> u64 {
 #[inline]
 pub fn pack_lane_bit(word: &mut u64, lane: usize, value: bool) {
     debug_assert!(lane < LANES);
-    let mask = 1u64 << lane;
-    if value {
-        *word |= mask;
-    } else {
-        *word &= !mask;
-    }
+    *word = (*word & !(1u64 << lane)) | (u64::from(value) << lane);
 }
 
 impl<'c> BitParallelSimulator<'c> {

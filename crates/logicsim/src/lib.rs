@@ -88,7 +88,8 @@ pub use partitioned::{PartitionedSimulator, TILE_INSTRUCTIONS};
 pub use state::{random_input_vector, random_state_vector, SimState};
 pub use time_sliced::{SlotRejection, SlotSchedule, TimeSlicedCounters, TimeSlicedSimulator};
 pub use trace::{
-    ActivityAccumulator, CycleActivity, GlitchActivity, WordActivity, WordGlitchActivity,
+    ActivityAccumulator, CycleActivity, GlitchActivity, LaneActivities, LaneProjection,
+    WordActivity, WordGlitchActivity,
 };
 pub use value::LogicValue;
 pub use variable_delay::VariableDelaySimulator;

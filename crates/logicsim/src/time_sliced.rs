@@ -916,3 +916,57 @@ mod tests {
         assert_eq!(zero.counters().levelized_cycles, 1);
     }
 }
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::compiled::BitParallelSimulator;
+    use crate::trace::{GlitchActivity, LaneActivities};
+    use netlist::generator::{generate, GeneratorConfig};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The one-pass projection equals the per-lane `lane_activity_into`
+        /// for every lane, on slot-wheel and levelized cycles alike, across
+        /// reuse of one scratch over many cycles.
+        #[test]
+        fn one_pass_projection_equals_per_lane_projection(
+            circuit_seed in 0u64..40,
+            stream_seed in 0u64..40,
+            slot_range in 0u64..6,
+        ) {
+            let cfg = GeneratorConfig::new("prop_ts", 4, 2, 5, 35).with_seed(circuit_seed);
+            let c = generate(&cfg).unwrap();
+            let mut rng = StdRng::seed_from_u64(stream_seed);
+            // Range 0 is the all-zero (levelized) annotation.
+            let per_gate: Vec<u64> = (0..c.num_gates())
+                .map(|_| if slot_range == 0 { 0 } else { 40 * rng.gen_range(1..=slot_range) })
+                .collect();
+            let delays = netlist::GateDelays::from_delays(&c, per_gate);
+            let mut word = TimeSlicedSimulator::with_delays(&c, DelayModel::Unit(40), &delays)
+                .expect("uniform-sign annotation");
+            let mut state = BitParallelSimulator::new(&c);
+            let mut scratch = LaneActivities::zeroed(c.num_nets());
+            let mut expected = GlitchActivity::zeroed(c.num_nets());
+            for _ in 0..6 {
+                let input_words: Vec<u64> =
+                    (0..c.num_primary_inputs()).map(|_| rng.gen::<u64>()).collect();
+                let prev_words = state.words().to_vec();
+                let activity = word.simulate_cycle(&prev_words, &input_words);
+                let mut projection = activity.project_lanes(&mut scratch);
+                // Lanes in a scrambled order, so stale counts of any earlier
+                // lane would show.
+                for step in 0..crate::LANES {
+                    let lane = (step * 37) % crate::LANES;
+                    activity.lane_activity_into(lane, &mut expected);
+                    prop_assert_eq!(projection.lane(lane), &expected);
+                }
+                state.step_state_only(&input_words);
+            }
+        }
+    }
+}

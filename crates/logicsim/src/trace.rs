@@ -216,6 +216,11 @@ impl GlitchActivity {
     pub(crate) fn settled_mut(&mut self) -> &mut CycleActivity {
         &mut self.settled
     }
+
+    /// The total and settled count slices at once.
+    fn counts_mut(&mut self) -> (&mut [u32], &mut [u32]) {
+        (&mut self.total.transitions, &mut self.settled.transitions)
+    }
 }
 
 /// The glitch-decomposed switching activity of one clock cycle across the
@@ -230,11 +235,14 @@ impl GlitchActivity {
 /// * **settled diff words** — per net, one `u64` whose bit `l` is set iff
 ///   the net's settled value changed in lane `l`
 ///   ([`settled_diff_words`](Self::settled_diff_words));
-/// * **the event log** — every committed change as a `(net, lane-mask)`
-///   pair in commit order ([`events`](Self::events)), from which any single
-///   lane's exact per-net counts are reconstructed
-///   ([`lane_activity_into`](Self::lane_activity_into)) without the
-///   simulator having to maintain 64 dense count arrays on its hot path.
+/// * **bit-sliced lane counts** — per net, count plane words where bit `l`
+///   of word `p` is bit `p` of lane `l`'s transition count
+///   ([`count_planes`](Self::count_planes)). Each committed change is one
+///   word-wide ripple-carry add, and a plane is added only when some count
+///   needs it, so any lane's exact per-net counts can be read back
+///   ([`lane_activity_into`](Self::lane_activity_into),
+///   [`project_lanes`](Self::project_lanes)) without the
+///   simulator maintaining 64 dense count arrays on its hot path.
 ///
 /// Glitch activity falls out exactly as in the scalar record:
 /// `glitch = total − settled`, per net, per lane and in aggregate.
@@ -245,9 +253,11 @@ pub struct WordGlitchActivity {
     /// Per-net settled diff words (bit `l` = lane `l`'s settled value
     /// changed this cycle).
     settled: Vec<u64>,
-    /// Commit log of the cycle: every matured value change as
-    /// `(net, lane mask)`, in commit order.
-    events: Vec<(u32, u64)>,
+    /// Bit-sliced lane counts, `planes` words per net: bit `l` of
+    /// `counts[net * planes + p]` is bit `p` of lane `l`'s transition count
+    /// on `net` this cycle.
+    counts: Vec<u64>,
+    planes: usize,
     /// Nets with a non-zero aggregate total (sparse clearing).
     counted: Vec<u32>,
 }
@@ -258,7 +268,8 @@ impl WordGlitchActivity {
         WordGlitchActivity {
             totals: vec![0; num_nets],
             settled: vec![0; num_nets],
-            events: Vec::new(),
+            counts: vec![0; num_nets],
+            planes: 1,
             counted: Vec::new(),
         }
     }
@@ -268,25 +279,53 @@ impl WordGlitchActivity {
         self.totals.len()
     }
 
-    /// Clears the previous cycle's counts (sparse) and log.
+    /// Clears the previous cycle's counts (sparse).
     pub(crate) fn begin_cycle(&mut self) {
         for &net in &self.counted {
-            self.totals[net as usize] = 0;
+            let net = net as usize;
+            self.totals[net] = 0;
+            self.counts[net * self.planes..(net + 1) * self.planes].fill(0);
         }
         self.counted.clear();
-        self.events.clear();
     }
 
     /// Records one committed change: `mask` lanes of `net` flipped.
     #[inline]
     pub(crate) fn record(&mut self, net: u32, mask: u64) {
         debug_assert_ne!(mask, 0);
-        let slot = &mut self.totals[net as usize];
+        let net = net as usize;
+        let slot = &mut self.totals[net];
         if *slot == 0 {
-            self.counted.push(net);
+            self.counted.push(net as u32);
         }
         *slot += u64::from(mask.count_ones());
-        self.events.push((net, mask));
+        // Add one to every flipped lane's bit-sliced count.
+        let mut carry = mask;
+        let mut plane = 0;
+        while carry != 0 {
+            if plane == self.planes {
+                self.add_plane();
+            }
+            let word = &mut self.counts[net * self.planes + plane];
+            let old = *word;
+            *word = old ^ carry;
+            carry &= old;
+            plane += 1;
+        }
+    }
+
+    /// Widens every net's counts by one plane (only counted nets hold
+    /// non-zero words).
+    fn add_plane(&mut self) {
+        let (old, new) = (self.planes, self.planes + 1);
+        let mut counts = vec![0; self.totals.len() * new];
+        for &net in &self.counted {
+            let net = net as usize;
+            counts[net * new..net * new + old]
+                .copy_from_slice(&self.counts[net * old..(net + 1) * old]);
+        }
+        self.counts = counts;
+        self.planes = new;
     }
 
     /// The dense settled-diff word array, for the simulator to fill.
@@ -305,9 +344,20 @@ impl WordGlitchActivity {
         &self.settled
     }
 
-    /// The commit log of the cycle: `(net, lane mask)` per committed change.
-    pub fn events(&self) -> &[(u32, u64)] {
-        &self.events
+    /// The bit-sliced per-lane transition counts of `net`: bit `l` of word
+    /// `p` is bit `p` of lane `l`'s count. There are as many words as the
+    /// largest count seen so far needs.
+    pub fn count_planes(&self, net: usize) -> &[u64] {
+        &self.counts[net * self.planes..(net + 1) * self.planes]
+    }
+
+    /// Lane `lane`'s transition count from a net's count planes.
+    #[inline]
+    fn lane_count(planes: &[u64], lane: usize) -> u32 {
+        planes
+            .iter()
+            .rev()
+            .fold(0, |count, &plane| count << 1 | ((plane >> lane) & 1) as u32)
     }
 
     /// Total transitions across all nets and lanes this cycle.
@@ -328,21 +378,6 @@ impl WordGlitchActivity {
         self.total_transitions() - self.settled_transitions()
     }
 
-    /// Total transitions of one lane across all nets.
-    pub fn lane_total_transitions(&self, lane: usize) -> u64 {
-        assert!(lane < 64, "lane index out of range");
-        self.events
-            .iter()
-            .map(|&(_, mask)| (mask >> lane) & 1)
-            .sum()
-    }
-
-    /// Settled transitions of one lane across all nets.
-    pub fn lane_settled_transitions(&self, lane: usize) -> u64 {
-        assert!(lane < 64, "lane index out of range");
-        self.settled.iter().map(|&w| (w >> lane) & 1).sum()
-    }
-
     /// Projects one lane out into a scalar [`GlitchActivity`], overwriting
     /// `out` completely. The projected record is bit-identical to what a
     /// scalar delay-aware simulation of that lane alone would have reported.
@@ -357,15 +392,15 @@ impl WordGlitchActivity {
             self.totals.len(),
             "lane projection target must cover the same nets"
         );
-        let totals = out.total_mut().per_net_mut();
+        let (totals, settled) = out.counts_mut();
         totals.fill(0);
-        for &(net, mask) in &self.events {
-            totals[net as usize] += ((mask >> lane) & 1) as u32;
-        }
-        let settled = out.settled_mut().per_net_mut();
         settled.fill(0);
+        // A settled change implies a committed one, so only counted nets
+        // can be non-zero.
         for &net in &self.counted {
-            settled[net as usize] = ((self.settled[net as usize] >> lane) & 1) as u32;
+            let net = net as usize;
+            totals[net] = Self::lane_count(self.count_planes(net), lane);
+            settled[net] = ((self.settled[net] >> lane) & 1) as u32;
         }
     }
 
@@ -375,6 +410,105 @@ impl WordGlitchActivity {
         let mut out = GlitchActivity::zeroed(self.totals.len());
         self.lane_activity_into(lane, &mut out);
         out
+    }
+
+    /// Hands out every lane's record, one at a time, through `scratch`:
+    /// the moved nets are listed once, and each
+    /// [`LaneProjection::lane`] call then rewrites only those nets of one
+    /// dense record, where [`lane_activity_into`](Self::lane_activity_into)
+    /// clears and scans per lane. The records are bit-identical to
+    /// `lane_activity_into`'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `scratch` covers a different net count.
+    pub fn project_lanes<'a>(&'a self, scratch: &'a mut LaneActivities) -> LaneProjection<'a> {
+        assert_eq!(
+            scratch.view.total().per_net().len(),
+            self.totals.len(),
+            "lane projection target must cover the same nets"
+        );
+        let (totals, settled) = scratch.view.counts_mut();
+        for &net in &scratch.nets {
+            totals[net as usize] = 0;
+            settled[net as usize] = 0;
+        }
+        // A settled change implies a committed one, so only counted nets
+        // can be non-zero.
+        scratch.nets.clear();
+        scratch.nets.extend_from_slice(&self.counted);
+        LaneProjection {
+            activity: self,
+            scratch,
+        }
+    }
+}
+
+/// Reusable scratch of [`WordGlitchActivity::project_lanes`]: the moved
+/// nets of the projected record and one dense [`GlitchActivity`], non-zero
+/// only on those nets. O(nets) in all.
+#[derive(Debug, Clone)]
+pub struct LaneActivities {
+    /// The moved nets of the projected record.
+    nets: Vec<u32>,
+    view: GlitchActivity,
+}
+
+impl LaneActivities {
+    /// Creates an empty scratch for `num_nets` nets.
+    pub fn zeroed(num_nets: usize) -> Self {
+        LaneActivities {
+            nets: Vec::new(),
+            view: GlitchActivity::zeroed(num_nets),
+        }
+    }
+}
+
+/// Every lane of one [`WordGlitchActivity`], handed out as dense records by
+/// [`lane`](Self::lane); built by [`WordGlitchActivity::project_lanes`].
+#[derive(Debug)]
+pub struct LaneProjection<'a> {
+    activity: &'a WordGlitchActivity,
+    scratch: &'a mut LaneActivities,
+}
+
+impl LaneProjection<'_> {
+    /// The dense record of one lane, bit-identical to
+    /// [`WordGlitchActivity::lane_activity`]. Valid until the next call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane >= 64`.
+    pub fn lane(&mut self, lane: usize) -> &GlitchActivity {
+        assert!(lane < crate::LANES, "lane index out of range");
+        // Fixed plane counts unroll the per-net plane loop.
+        match self.activity.planes {
+            1 => self.write_lane::<1>(lane),
+            2 => self.write_lane::<2>(lane),
+            3 => self.write_lane::<3>(lane),
+            4 => self.write_lane::<4>(lane),
+            5 => self.write_lane::<5>(lane),
+            _ => self.write_lane::<0>(lane),
+        }
+        &self.scratch.view
+    }
+
+    /// Writes `lane`'s counts of every moved net into the view; `PLANES`
+    /// is the plane count, or 0 for any count.
+    fn write_lane<const PLANES: usize>(&mut self, lane: usize) {
+        let planes = if PLANES == 0 {
+            self.activity.planes
+        } else {
+            PLANES
+        };
+        let activity = self.activity;
+        let (totals, settled) = self.scratch.view.counts_mut();
+        for &net in &self.scratch.nets {
+            let net = net as usize;
+            let counts = &activity.counts[net * planes..(net + 1) * planes];
+            totals[net] = WordGlitchActivity::lane_count(counts, lane);
+            settled[net] = ((activity.settled[net] >> lane) & 1) as u32;
+        }
     }
 }
 

@@ -32,6 +32,9 @@ impl Client {
     /// Propagates socket errors as strings.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, String> {
         let stream = TcpStream::connect(addr).map_err(|e| format!("connect failed: {e}"))?;
+        // Requests are single small lines: send each at once instead of
+        // waiting for the server's delayed ACK.
+        stream.set_nodelay(true).ok();
         let writer = stream
             .try_clone()
             .map_err(|e| format!("clone failed: {e}"))?;

@@ -435,6 +435,9 @@ impl Server {
 }
 
 fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
+    // Responses are single small lines: send each at once instead of
+    // waiting for the peer's delayed ACK.
+    stream.set_nodelay(true).ok();
     let writer = match stream.try_clone() {
         Ok(w) => SharedWriter::new(w),
         Err(_) => return,

@@ -484,14 +484,10 @@ impl EstimationSession for BreakdownSession<'_> {
                 State::Sampling { selection, .. } => {
                     let interval = selection.interval;
                     // Sample until a block boundary decides, or the deadline.
+                    // Batches end at every block boundary and are sized so
+                    // the step stops where a per-sample deadline check would.
+                    let block_size = self.config.block_size;
                     let outcome = loop {
-                        if self.sampler.cycle_counts().total() >= deadline {
-                            break SamplingOutcome::OutOfBudget;
-                        }
-                        let accumulator = &mut self.accumulator;
-                        let power_w = self.sampler.sample_power_w_observing(interval, |activity| {
-                            accumulator.add_glitch_cycle(activity)
-                        });
                         let State::Sampling {
                             sample,
                             last_total_rhw,
@@ -500,8 +496,18 @@ impl EstimationSession for BreakdownSession<'_> {
                         else {
                             unreachable!("sampling state is pinned for the loop");
                         };
-                        sample.push(power_w);
-                        if !sample.len().is_multiple_of(self.config.block_size) {
+                        let to_boundary = block_size - sample.len() % block_size;
+                        let count = self.sampler.batch_size(interval, deadline, to_boundary);
+                        if count == 0 {
+                            break SamplingOutcome::OutOfBudget;
+                        }
+                        let accumulator = &mut self.accumulator;
+                        sample.extend_from_slice(self.sampler.sample_batch_observing_w(
+                            interval,
+                            count,
+                            |activity| accumulator.add_glitch_cycle(activity),
+                        ));
+                        if !sample.len().is_multiple_of(block_size) {
                             continue;
                         }
                         let total = self.criterion.evaluate(sample);

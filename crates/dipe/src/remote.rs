@@ -43,6 +43,7 @@
 use std::collections::BTreeMap;
 use std::time::Duration;
 
+use logicsim::LANES;
 use netlist::Circuit;
 use seqstats::{MomentAccumulatorState, PooledSampleState};
 
@@ -810,12 +811,9 @@ impl<'c> StreamWorker<'c> {
             .expect("produce() requires an assigned stream");
         let block_size = self.config.block_size;
         let mut powers = Vec::with_capacity(block_size);
-        for _ in 0..block_size {
-            powers.push(
-                entry
-                    .sampler
-                    .sample_power_w_observing(self.interval, |_| {}),
-            );
+        while powers.len() < block_size {
+            let count = (block_size - powers.len()).min(LANES);
+            powers.extend_from_slice(entry.sampler.sample_batch_w(self.interval, count));
         }
         let block_index = entry.next_block;
         entry.next_block += 1;
@@ -1061,6 +1059,44 @@ mod tests {
         assert_bit_identical(&remote, &local);
         assert_eq!(stats.duplicate_blocks, 1);
         assert_eq!(stats.corrupt_blocks, 1);
+    }
+
+    #[test]
+    fn produced_blocks_equal_per_sample_draws() {
+        let circuit = iscas89::load("s298").unwrap();
+        let interval = 2;
+        // 96 samples take two batches, the second one partial.
+        for block_size in [32, 96] {
+            let mut config = config();
+            config.block_size = block_size;
+            let mut worker = StreamWorker::new(
+                &circuit,
+                config.clone(),
+                InputModel::uniform(),
+                7,
+                interval,
+                DEFAULT_LEAD_BLOCKS,
+            );
+            worker.assign(1, 0, None).unwrap();
+            let mut oracle = PowerSampler::new(
+                &circuit,
+                &config,
+                &InputModel::uniform(),
+                shard_seed_offset(7, 1),
+            )
+            .unwrap();
+            oracle.advance(config.warmup_cycles);
+            for block_index in 0..3 {
+                let block = worker.produce(1);
+                let powers: Vec<f64> = (0..block_size)
+                    .map(|_| oracle.sample_power_w(interval))
+                    .collect();
+                assert_eq!(block.block_index, block_index);
+                assert_eq!(block.powers, PooledSampleState::from_values(&powers));
+                assert_eq!(block.end_state, oracle.snapshot());
+                assert!(block.verify());
+            }
+        }
     }
 
     #[test]

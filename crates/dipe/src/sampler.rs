@@ -22,6 +22,12 @@
 //! whole batch in one word pass. The event-driven backend measures sample by
 //! sample. Either way the powers, their order and the cycle accounting equal
 //! those of drawing the samples one at a time.
+//!
+//! [`PowerSampler::sample_batch_observing_w`] does the same for loops that
+//! fold each measured cycle's glitch-decomposed per-net record (per-net
+//! activity accumulators, shard folds): after the pass, every lane's record
+//! is projected and handed to the observer in sample order, so the observer
+//! sees exactly the records a sample-by-sample loop would.
 
 use logicsim::{
     pack_lane_bit, CompiledSimulator, EventDrivenSimulator, GlitchActivity, LaneActivities,
@@ -380,7 +386,7 @@ impl<'c> PowerSampler<'c> {
     /// the power dissipated in that cycle, in watts. The circuit state
     /// advances exactly one cycle.
     pub fn measure_cycle_power_w(&mut self) -> f64 {
-        self.sample_batch(0, 1, |_| {})[0]
+        self.sample_batch_observing_w(0, 1, |_| {})[0]
     }
 
     /// Like [`measure_cycle_power_w`](Self::measure_cycle_power_w), but hands
@@ -397,7 +403,7 @@ impl<'c> PowerSampler<'c> {
     /// Draws one power sample at the given independence interval: advances
     /// `interval` decorrelation cycles, then measures one cycle.
     pub fn sample_power_w(&mut self, interval: usize) -> f64 {
-        self.sample_batch(interval, 1, |_| {})[0]
+        self.sample_batch_observing_w(interval, 1, |_| {})[0]
     }
 
     /// Like [`sample_power_w`](Self::sample_power_w), exposing the measured
@@ -407,7 +413,7 @@ impl<'c> PowerSampler<'c> {
         F: FnOnce(&GlitchActivity),
     {
         let mut observe = Some(observe);
-        self.sample_batch(interval, 1, |activity| {
+        self.sample_batch_observing_w(interval, 1, |activity| {
             if let Some(observe) = observe.take() {
                 observe(activity);
             }
@@ -428,7 +434,7 @@ impl<'c> PowerSampler<'c> {
     ///
     /// Panics if `count` exceeds [`LANES`].
     pub fn sample_batch_w(&mut self, interval: usize, count: usize) -> &[f64] {
-        self.sample_batch(interval, count, |_| {})
+        self.sample_batch_observing_w(interval, count, |_| {})
     }
 
     /// How many samples at `interval` to draw in one batch so a batched
@@ -442,7 +448,20 @@ impl<'c> PowerSampler<'c> {
         left.div_ceil(per_sample).min(limit.min(LANES) as u64) as usize
     }
 
-    fn sample_batch<F>(&mut self, interval: usize, count: usize, mut observe: F) -> &[f64]
+    /// Like [`sample_batch_w`](Self::sample_batch_w), handing each sample's
+    /// glitch-decomposed per-net transition record to `observe` in sample
+    /// order — the same records, in the same order, as `count` calls of
+    /// [`sample_power_w_observing`](Self::sample_power_w_observing).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `count` exceeds [`LANES`].
+    pub fn sample_batch_observing_w<F>(
+        &mut self,
+        interval: usize,
+        count: usize,
+        mut observe: F,
+    ) -> &[f64]
     where
         F: FnMut(&GlitchActivity),
     {
@@ -784,6 +803,33 @@ mod tests {
                     expected,
                     "{mode:?}"
                 );
+                assert_eq!(batched.cycle_counts(), single.cycle_counts());
+            }
+        }
+    }
+
+    #[test]
+    fn observing_batches_equal_single_draws() {
+        let (c, config) = sampler_for("s298", 23);
+        for mode in [MeasureMode::TimeSliced, MeasureMode::EventDriven] {
+            let config = config.clone().with_measure_mode(mode);
+            let mut batched = PowerSampler::new(&c, &config, &InputModel::uniform(), 0).unwrap();
+            let mut single = PowerSampler::new(&c, &config, &InputModel::uniform(), 0).unwrap();
+            for (interval, count) in [(0, 1), (2, 37), (1, LANES), (3, 0)] {
+                let mut expected_records = Vec::new();
+                let expected: Vec<f64> = (0..count)
+                    .map(|_| {
+                        single.sample_power_w_observing(interval, |activity| {
+                            expected_records.push(activity.clone())
+                        })
+                    })
+                    .collect();
+                let mut records = Vec::new();
+                let powers = batched.sample_batch_observing_w(interval, count, |activity| {
+                    records.push(activity.clone())
+                });
+                assert_eq!(powers, expected, "{mode:?}");
+                assert_eq!(records, expected_records, "{mode:?}");
                 assert_eq!(batched.cycle_counts(), single.cycle_counts());
             }
         }

@@ -41,7 +41,7 @@ use std::sync::mpsc;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use logicsim::GlitchActivity;
+use logicsim::{GlitchActivity, LANES};
 use netlist::Circuit;
 
 use crate::config::DipeConfig;
@@ -236,11 +236,13 @@ where
                     }
                     let mut powers = Vec::with_capacity(block_size);
                     let mut payload = fold.new_block();
-                    for _ in 0..block_size {
-                        let power_w = sampler.sample_power_w_observing(interval, |activity| {
-                            fold.observe(&mut payload, activity)
-                        });
-                        powers.push(power_w);
+                    while powers.len() < block_size {
+                        let count = (block_size - powers.len()).min(LANES);
+                        powers.extend_from_slice(sampler.sample_batch_observing_w(
+                            interval,
+                            count,
+                            |activity| fold.observe(&mut payload, activity),
+                        ));
                     }
                     produced += 1;
                     if tx.send((shard, powers, payload)).is_err() {

@@ -213,6 +213,14 @@ fn spawn_reader(
     std::thread::spawn(move || loop {
         match reader.poll_line() {
             Ok(Polled::Pending) => continue,
+            Ok(Polled::TooLong) => {
+                let _ = events.send((
+                    index,
+                    generation,
+                    WorkerEvent::Down("worker sent an over-long line".to_string()),
+                ));
+                return;
+            }
             Ok(Polled::Closed) => {
                 let _ = events.send((
                     index,

@@ -27,9 +27,68 @@
 //!
 //! Any malformed or failed request yields an `error` response instead. See
 //! `docs/ARCHITECTURE.md` for the full message table with examples.
+//!
+//! Lines are bounded: a line longer than [`MAX_LINE_BYTES`] draws one
+//! `error` line and the connection is closed.
+
+use std::io::{BufRead, ErrorKind};
 
 use crate::json::Json;
 use crate::spec::JobSpec;
+
+/// The longest line, newline excluded, that the server, the worker and the
+/// coordinator read: 64 MiB, far above the inline netlists jobs carry. A
+/// peer that never sends a newline therefore cannot grow a reader's memory
+/// without bound.
+pub const MAX_LINE_BYTES: usize = 64 << 20;
+
+/// How a [`read_line_capped`] call ended.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LineEnd {
+    /// The buffer ends with the line's newline.
+    Newline,
+    /// The peer closed the connection; the buffer holds whatever it sent
+    /// after its last newline.
+    Eof,
+    /// The line is longer than the cap; the buffer holds a prefix of it.
+    TooLong,
+}
+
+/// Appends bytes from `reader` to `line` up to and including the next
+/// newline, never letting the line's content exceed `cap` bytes. A read
+/// error (a socket read timeout included) leaves what was read so far in
+/// `line`, so the next call continues the same line.
+///
+/// # Errors
+///
+/// Propagates read errors other than [`ErrorKind::Interrupted`].
+pub(crate) fn read_line_capped<R: BufRead>(
+    reader: &mut R,
+    line: &mut Vec<u8>,
+    cap: usize,
+) -> std::io::Result<LineEnd> {
+    loop {
+        let available = match reader.fill_buf() {
+            Ok(available) => available,
+            Err(error) if error.kind() == ErrorKind::Interrupted => continue,
+            Err(error) => return Err(error),
+        };
+        if available.is_empty() {
+            return Ok(LineEnd::Eof);
+        }
+        let newline = available.iter().position(|&byte| byte == b'\n');
+        let content = newline.unwrap_or(available.len());
+        if line.len() + content > cap {
+            return Ok(LineEnd::TooLong);
+        }
+        let taken = newline.map_or(content, |at| at + 1);
+        line.extend_from_slice(&available[..taken]);
+        reader.consume(taken);
+        if newline.is_some() {
+            return Ok(LineEnd::Newline);
+        }
+    }
+}
 
 /// A client → server request.
 #[derive(Debug, Clone, PartialEq)]
@@ -518,5 +577,25 @@ mod tests {
             assert_eq!(CachePath::parse(path.label()), Some(path));
         }
         assert_eq!(CachePath::parse("lukewarm"), None);
+    }
+
+    #[test]
+    fn capped_lines_span_reads_and_stop_past_the_cap() {
+        // A 3-byte read buffer splits every line across several fills.
+        let mut reader = std::io::BufReader::with_capacity(3, &b"abcd\nefghi\nxy"[..]);
+        let mut line = Vec::new();
+        let mut read = |line: &mut Vec<u8>| read_line_capped(&mut reader, line, 4).unwrap();
+        assert_eq!(read(&mut line), LineEnd::Newline);
+        assert_eq!(line, b"abcd\n", "a line of exactly the cap fits");
+        line.clear();
+        assert_eq!(read(&mut line), LineEnd::TooLong);
+        assert!(line.len() <= 4, "never buffers past the cap");
+        let mut reader = std::io::BufReader::with_capacity(3, &b"xy"[..]);
+        line.clear();
+        assert_eq!(
+            read_line_capped(&mut reader, &mut line, 4).unwrap(),
+            LineEnd::Eof
+        );
+        assert_eq!(line, b"xy", "a torn last line is kept");
     }
 }

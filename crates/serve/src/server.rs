@@ -20,7 +20,7 @@
 //! safe Rust — no self-referential state, no lifetime transmutes.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -33,7 +33,9 @@ use telemetry::{BufferSink, Counter, Histogram, LatencyRing, MetricsRegistry, Tr
 use crate::cache::CircuitCache;
 use crate::checkpoint_io::CheckpointFile;
 use crate::json::Json;
-use crate::protocol::{CachePath, Event, JobResult, Request};
+use crate::protocol::{
+    read_line_capped, CachePath, Event, JobResult, LineEnd, Request, MAX_LINE_BYTES,
+};
 use crate::spec::JobSpec;
 
 /// Server tuning knobs.
@@ -253,6 +255,9 @@ struct ServerStats {
     /// Connections dropped by the idle reaper (no line within the timeout
     /// and no running job to keep the connection alive for).
     idle_disconnects: Arc<Counter>,
+    /// Connections closed for a request line over
+    /// [`MAX_LINE_BYTES`](crate::protocol::MAX_LINE_BYTES).
+    oversize_lines: Arc<Counter>,
     /// Distribution of executed cycles per completed job.
     job_executed_cycles: Arc<Histogram>,
 }
@@ -266,6 +271,7 @@ impl ServerStats {
             jobs_cancelled: registry.counter("dipe_serve_jobs_cancelled_total"),
             executed_cycles_total: registry.counter("dipe_serve_executed_cycles_total"),
             idle_disconnects: registry.counter("dipe_serve_idle_disconnects_total"),
+            oversize_lines: registry.counter("dipe_serve_oversize_lines_total"),
             job_executed_cycles: registry.histogram("dipe_serve_job_executed_cycles"),
         }
     }
@@ -452,15 +458,28 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
         )));
     }
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     // Jobs submitted on this connection, for the reaper's grace check.
     let mut own_jobs: Vec<u64> = Vec::new();
     loop {
         line.clear();
         loop {
-            match reader.read_line(&mut line) {
-                Ok(0) => return, // client hung up
-                Ok(_) => break,
+            match read_line_capped(&mut reader, &mut line, MAX_LINE_BYTES) {
+                Ok(LineEnd::Eof) if line.is_empty() => return, // client hung up
+                Ok(LineEnd::Newline | LineEnd::Eof) => break,
+                Ok(LineEnd::TooLong) => {
+                    shared.stats.oversize_lines.inc();
+                    if !shared.config.quiet {
+                        eprintln!(
+                            "dipe-serve: dropping connection (request line over {MAX_LINE_BYTES} bytes)"
+                        );
+                    }
+                    writer.send(&error_response(&format!(
+                        "request line exceeds {MAX_LINE_BYTES} bytes; closing the connection"
+                    )));
+                    let _ = reader.get_ref().shutdown(std::net::Shutdown::Both);
+                    return;
+                }
                 Err(error)
                     if matches!(
                         error.kind(),
@@ -492,7 +511,11 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
                 Err(_) => return,
             }
         }
-        let text = line.trim();
+        let Ok(text) = std::str::from_utf8(&line) else {
+            writer.send(&error_response("request line is not valid UTF-8"));
+            continue;
+        };
+        let text = text.trim();
         if text.is_empty() {
             continue;
         }
@@ -652,6 +675,10 @@ fn stats_response(shared: &Shared) -> Json {
         (
             "idle_disconnects",
             Json::u64(shared.stats.idle_disconnects.get()),
+        ),
+        (
+            "oversize_lines",
+            Json::u64(shared.stats.oversize_lines.get()),
         ),
         ("compiled_hits", Json::u64(compiled_hits)),
         ("compiled_misses", Json::u64(compiled_misses)),

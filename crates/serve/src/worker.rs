@@ -31,6 +31,7 @@ use seqstats::PooledSampleState;
 
 use crate::checkpoint_io::{sampler_from_json, sampler_to_json};
 use crate::json::Json;
+use crate::protocol::{read_line_capped, LineEnd, MAX_LINE_BYTES};
 use crate::spec::JobSpec;
 
 /// How often an idle worker emits a `heartbeat` line.
@@ -181,9 +182,10 @@ pub(crate) fn stop_msg() -> Json {
 
 /// A line reader over a read-timeout socket that never tears lines: a read
 /// timing out mid-line keeps the partial content buffered for the next poll.
+/// Lines are capped at [`MAX_LINE_BYTES`].
 pub(crate) struct LineReader {
     reader: BufReader<TcpStream>,
-    pending: String,
+    pending: Vec<u8>,
 }
 
 /// One poll of a [`LineReader`].
@@ -194,49 +196,45 @@ pub(crate) enum Polled {
     Pending,
     /// The peer closed the connection.
     Closed,
+    /// The peer sent a line over [`MAX_LINE_BYTES`]; the connection must be
+    /// dropped.
+    TooLong,
 }
 
 impl LineReader {
     pub(crate) fn new(stream: TcpStream) -> LineReader {
         LineReader {
             reader: BufReader::new(stream),
-            pending: String::new(),
+            pending: Vec::new(),
         }
     }
 
-    /// Reads until a full line, the read timeout, or EOF.
+    /// Reads until a full line, the read timeout, EOF or the line cap.
     ///
     /// # Errors
     ///
-    /// Propagates hard I/O failures (timeouts are [`Polled::Pending`]).
+    /// Propagates hard I/O failures (timeouts are [`Polled::Pending`]) and
+    /// reports a line that is not UTF-8 as [`std::io::ErrorKind::InvalidData`].
     pub(crate) fn poll_line(&mut self) -> std::io::Result<Polled> {
-        use std::io::BufRead;
-        match self.reader.read_line(&mut self.pending) {
-            Ok(0) => {
-                if self.pending.trim().is_empty() {
-                    Ok(Polled::Closed)
-                } else {
-                    Ok(Polled::Line(std::mem::take(&mut self.pending)))
-                }
-            }
-            Ok(_) => {
-                if self.pending.ends_with('\n') {
-                    let mut line = std::mem::take(&mut self.pending);
-                    line.truncate(line.trim_end_matches(['\r', '\n']).len());
-                    Ok(Polled::Line(line))
-                } else {
-                    // EOF splitting a line: surface what we have.
-                    Ok(Polled::Line(std::mem::take(&mut self.pending)))
-                }
-            }
+        let end = match read_line_capped(&mut self.reader, &mut self.pending, MAX_LINE_BYTES) {
+            Ok(LineEnd::TooLong) => return Ok(Polled::TooLong),
+            Ok(LineEnd::Eof) if self.pending.trim_ascii().is_empty() => return Ok(Polled::Closed),
+            Ok(end) => end,
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                Ok(Polled::Pending)
+                return Ok(Polled::Pending)
             }
-            Err(e) => Err(e),
+            Err(e) => return Err(e),
+        };
+        let mut line = String::from_utf8(std::mem::take(&mut self.pending))
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
+        if end == LineEnd::Newline {
+            line.truncate(line.trim_end_matches(['\r', '\n']).len());
         }
+        // Otherwise EOF split the line: surface what we have.
+        Ok(Polled::Line(line))
     }
 }
 
@@ -291,6 +289,24 @@ pub fn run_worker(listener: TcpListener, fault: &FaultPlan, quiet: bool) -> Resu
     }
 }
 
+/// Answers a line over [`MAX_LINE_BYTES`] with one `worker_error` line; the
+/// caller then drops the connection.
+fn reject_oversize_line(writer: &mut TcpStream) -> ConnExit {
+    let _ = send_line(
+        writer,
+        &Json::obj(vec![
+            ("type", Json::str("worker_error")),
+            (
+                "message",
+                Json::str(format!(
+                    "line exceeds {MAX_LINE_BYTES} bytes; closing the connection"
+                )),
+            ),
+        ]),
+    );
+    ConnExit::BackToAccept
+}
+
 fn send_line(conn: &mut TcpStream, value: &Json) -> std::io::Result<()> {
     let mut line = value.to_line();
     line.push('\n');
@@ -316,6 +332,7 @@ fn serve_coordinator(
             Polled::Line(line) => break line,
             Polled::Pending => continue,
             Polled::Closed => return Ok(ConnExit::BackToAccept),
+            Polled::TooLong => return Ok(reject_oversize_line(&mut writer)),
         }
     };
     let order = Json::parse(order.trim()).map_err(|e| format!("work order: {e}"))?;
@@ -389,6 +406,7 @@ fn serve_coordinator(
         loop {
             match reader.poll_line().map_err(|e| e.to_string())? {
                 Polled::Closed => return Ok(ConnExit::BackToAccept),
+                Polled::TooLong => return Ok(reject_oversize_line(&mut writer)),
                 Polled::Pending => break,
                 Polled::Line(line) => {
                     let line = line.trim();

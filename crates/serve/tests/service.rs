@@ -413,6 +413,49 @@ fn error_paths_and_clean_shutdown() {
 }
 
 #[test]
+fn oversize_line_is_rejected_and_the_server_stays_up() {
+    use dipe_serve::protocol::MAX_LINE_BYTES;
+    use dipe_serve::Json;
+    use std::io::{BufRead, BufReader, Write};
+
+    let (addr, thread) = start_server(1, 2_000);
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+    // A server without the cap would wait for the newline forever.
+    raw.set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .expect("read timeout");
+    // One byte over the cap and no newline, written in 1 MiB pieces.
+    let chunk = vec![b'x'; 1 << 20];
+    for _ in 0..MAX_LINE_BYTES / chunk.len() {
+        raw.write_all(&chunk).expect("write");
+    }
+    raw.write_all(b"x").expect("write");
+    let mut reader = BufReader::new(raw);
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("one error line");
+    let reply = Json::parse(reply.trim()).expect("JSON reply");
+    assert_eq!(reply.get("type").and_then(Json::as_str), Some("error"));
+    let message = reply.get("message").and_then(Json::as_str).unwrap_or("");
+    assert!(message.contains("exceeds"), "got: {message}");
+    let mut rest = String::new();
+    assert_eq!(
+        reader.read_line(&mut rest).unwrap_or(0),
+        0,
+        "the connection is closed after the error"
+    );
+
+    let mut client = Client::connect(addr).expect("connect");
+    client.ping().expect("the server still answers");
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.get("oversize_lines").and_then(Json::as_u64), Some(1));
+    let metrics = client.metrics().expect("metrics");
+    assert!(
+        metrics.contains("dipe_serve_oversize_lines_total 1"),
+        "metrics should surface the oversize counter: {metrics}"
+    );
+    shutdown(addr, thread);
+}
+
+#[test]
 fn drained_shutdown_lets_inflight_jobs_finish() {
     let (addr, thread) = start_server(2, 400);
     let spec = JobSpec::named("s27").with_seed(7).with_accuracy(0.10, 0.95);

@@ -161,6 +161,7 @@ impl Json {
     /// Returns a [`JsonError`] with a byte offset on malformed input.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -191,7 +192,7 @@ impl Json {
             Json::Num(raw) => out.push_str(raw),
             Json::Str(s) => {
                 out.push('"');
-                out.push_str(&escape(s));
+                escape_into(out, s);
                 out.push('"');
             }
             Json::Arr(items) => {
@@ -211,7 +212,7 @@ impl Json {
                         out.push(',');
                     }
                     out.push('"');
-                    out.push_str(&escape(key));
+                    escape_into(out, key);
                     out.push_str("\":");
                     value.write(out);
                 }
@@ -221,21 +222,31 @@ impl Json {
     }
 }
 
-/// Escapes a string for embedding between JSON quotes (the `power` crate's
-/// escaping rules: quotes, backslashes and control characters).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Appends `s` to `out`, escaped for embedding between JSON quotes (the
+/// `power` crate's escaping rules: quotes, backslashes and control
+/// characters, the latter as lower-case `\u00xx`). Runs of plain text are
+/// copied in one step; every escaped byte is ASCII, so the slice bounds
+/// always fall on character boundaries.
+fn escape_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run_start = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        if byte != b'"' && byte != b'\\' && byte >= 0x20 {
+            continue;
         }
+        out.push_str(&s[run_start..i]);
+        match byte {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(byte >> 4)]));
+                out.push(char::from(HEX[usize::from(byte & 0xf)]));
+            }
+        }
+        run_start = i + 1;
     }
-    out
+    out.push_str(&s[run_start..]);
 }
 
 /// Nesting depth bound: protocol messages and checkpoint files are a few
@@ -244,6 +255,7 @@ fn escape(s: &str) -> String {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -356,6 +368,18 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run of plain bytes up to the next delimiter in one
+            // step. Every delimiter is ASCII, so both ends of the run are
+            // character boundaries of the already-validated `&str`: the
+            // slice needs no re-validation, and decoding stays linear in the
+            // length of the line.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                .unwrap_or(rest.len());
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -406,18 +430,7 @@ impl<'a> Parser<'a> {
                         _ => return Err(self.err("invalid escape")),
                     }
                 }
-                Some(_) => {
-                    // Decode one UTF-8 scalar from the raw bytes.
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = text.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(self.err("raw control character in string"));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => return Err(self.err("raw control character in string")),
             }
         }
     }
@@ -470,14 +483,14 @@ impl<'a> Parser<'a> {
                 return Err(self.err("malformed number (empty exponent)"));
             }
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        Ok(Json::Num(raw.to_string()))
+        Ok(Json::Num(self.text[start..self.pos].to_string()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn parses_scalars() {
@@ -563,6 +576,160 @@ mod tests {
     fn rejects_pathological_nesting() {
         let deep = "[".repeat(100) + &"]".repeat(100);
         assert!(Json::parse(&deep).is_err());
+    }
+
+    #[test]
+    fn encoder_output_is_pinned_byte_for_byte() {
+        // All 32 control characters take the lower-case `\u00xx` form,
+        // quote and backslash their two-character escapes; DEL and
+        // multi-byte UTF-8 (2, 3 and 4 bytes) pass through raw.
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        assert_eq!(
+            Json::str(controls).to_line(),
+            concat!(
+                r#""\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007"#,
+                r#"\u0008\u0009\u000a\u000b\u000c\u000d\u000e\u000f"#,
+                r#"\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017"#,
+                r#"\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f""#,
+            )
+        );
+        assert_eq!(
+            Json::str("a\"b\\c\u{7f}d\u{e9}\u{263a}\u{1f600}").to_line(),
+            "\"a\\\"b\\\\c\u{7f}d\u{e9}\u{263a}\u{1f600}\""
+        );
+        // Keys go through the same encoder.
+        assert_eq!(
+            Json::obj(vec![("k\"\n", Json::str("\u{1}"))]).to_line(),
+            r#"{"k\"\u000a":"\u0001"}"#
+        );
+        assert_eq!(Json::str("").to_line(), r#""""#);
+    }
+
+    #[test]
+    fn string_runs_split_at_escapes_and_multibyte_characters() {
+        for (line, expected) in [
+            (r#""""#, ""),
+            (r#""\n""#, "\n"),
+            (r#""\nab""#, "\nab"),
+            (r#""ab\n""#, "ab\n"),
+            (r#""a\"b\\c""#, "a\"b\\c"),
+            (r#""\\\\\\""#, "\\\\\\"),
+            ("\"\u{e9}\\u00e9\u{e9}\"", "\u{e9}\u{e9}\u{e9}"),
+            ("\"\u{263a}\\t\u{263a}\"", "\u{263a}\t\u{263a}"),
+            ("\"\u{1f600}\\u0041\u{1f600}\"", "\u{1f600}A\u{1f600}"),
+            (r#""x\ud83d\ude00y""#, "x\u{1f600}y"),
+            (
+                "\"\u{7f}\u{80}\u{7ff}\u{800}\u{ffff}\u{10000}\u{10ffff}\"",
+                "\u{7f}\u{80}\u{7ff}\u{800}\u{ffff}\u{10000}\u{10ffff}",
+            ),
+        ] {
+            assert_eq!(
+                Json::parse(line).unwrap().as_str(),
+                Some(expected),
+                "{line}"
+            );
+        }
+        let obj = Json::parse("{\"\u{e9}\\n\":\"v\\u263a\u{263a}\"}").unwrap();
+        assert_eq!(
+            obj.get("\u{e9}\n").and_then(Json::as_str),
+            Some("v\u{263a}\u{263a}")
+        );
+    }
+
+    #[test]
+    fn error_offsets_at_the_end_of_long_runs() {
+        let run = "a".repeat(100_000);
+        let wide = "\u{e9}\u{263a}\u{1f600}".repeat(10_000); // 90 000 bytes
+        let cases: Vec<(String, &str, usize)> = vec![
+            (
+                format!("\"{run}\u{1}\""),
+                "raw control character in string",
+                100_001,
+            ),
+            (
+                format!("\"{run}\n\""),
+                "raw control character in string",
+                100_001,
+            ),
+            (
+                format!("\"{wide}\u{1f}\""),
+                "raw control character in string",
+                90_001,
+            ),
+            (
+                format!("[\"x\",\"{run}\t"),
+                "raw control character in string",
+                100_006,
+            ),
+            (format!("\"{run}"), "unterminated string", 100_001),
+            (format!("\"{wide}"), "unterminated string", 90_001),
+            (format!("{{\"{run}"), "unterminated string", 100_002),
+            (format!("\"{run}\\"), "unterminated escape", 100_002),
+            (format!("\"{wide}\\q{run}\""), "invalid escape", 90_003),
+            (format!("\"{run}\\u12"), "truncated \\u escape", 100_003),
+        ];
+        for (line, message, offset) in cases {
+            let error = Json::parse(&line).unwrap_err();
+            assert_eq!((error.message.as_str(), error.offset), (message, offset));
+        }
+    }
+
+    /// A character drawn from a mix that keeps every encoder branch busy:
+    /// ASCII (control characters included), the escaped and DEL bytes, and
+    /// 2-, 3- and 4-byte UTF-8.
+    fn mixed_char(v: u32) -> char {
+        const SPECIAL: [char; 8] = ['"', '\\', '/', '\u{7f}', '\n', '\t', '\u{0}', 'u'];
+        match v % 4 {
+            0 => char::from((v / 4 % 128) as u8),
+            1 => SPECIAL[(v / 4 % 8) as usize],
+            2 => char::from_u32(0x80 + v / 4 % 0xd780).unwrap(),
+            _ => char::from_u32(v / 4 % 0x11_0000).unwrap_or('\u{10fff0}'),
+        }
+    }
+
+    /// A character biased to JSON's structural bytes, for fuzzing the parser.
+    fn structural_char(v: u32) -> char {
+        const ALPHABET: &[u8] = br#"{}[]":,\ nulltruefalse0123456789.-+eEu"#;
+        match v % 3 {
+            0 | 1 => char::from(ALPHABET[(v / 3) as usize % ALPHABET.len()]),
+            _ => mixed_char(v / 3),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Any string survives the wire form unchanged, whatever mix of
+        /// plain runs, escapes and multi-byte characters it holds.
+        #[test]
+        fn json_any_string_round_trips(
+            chars in collection::vec(0u32..u32::MAX, 0usize..200),
+        ) {
+            let original: String = chars.into_iter().map(mixed_char).collect();
+            let line = Json::str(original.clone()).to_line();
+            prop_assert_eq!(Json::parse(&line).unwrap(), Json::Str(original));
+        }
+
+        /// Arbitrary text, and every prefix of a valid line, parses to a
+        /// value or an error and never panics; a value re-encodes to a line
+        /// that parses back to itself.
+        #[test]
+        fn json_arbitrary_text_never_panics(
+            chars in collection::vec(0u32..u32::MAX, 0usize..80),
+            cut in 0usize..1000,
+        ) {
+            let text: String = chars.into_iter().map(structural_char).collect();
+            let valid = Json::obj(vec![("k", Json::Arr(vec![Json::str(text.clone()), Json::u64(7)]))]).to_line();
+            let mut cut = cut % (valid.len() + 1);
+            while !valid.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            for input in [text.as_str(), &valid[..cut]] {
+                if let Ok(value) = Json::parse(input) {
+                    prop_assert_eq!(Json::parse(&value.to_line()).unwrap(), value);
+                }
+            }
+        }
     }
 
     #[test]

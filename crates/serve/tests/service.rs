@@ -8,8 +8,9 @@
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
 
-use dipe::{run_to_completion, DipeEstimator, Estimate, PowerEstimator};
-use dipe_serve::{CachePath, Client, JobSpec, Server, ServerConfig};
+use dipe::{run_to_completion, CycleBudget, DipeEstimator, Estimate, PowerEstimator, Progress};
+use dipe_serve::{CachePath, CheckpointFile, CircuitRef, Client, JobSpec, Server, ServerConfig};
+use netlist::{blif, iscas89, NetlistFormat};
 
 fn start_server(workers: usize, slice_cycles: u64) -> (SocketAddr, JoinHandle<()>) {
     let dir = std::env::temp_dir().join(format!(
@@ -453,6 +454,89 @@ fn oversize_line_is_rejected_and_the_server_stays_up() {
         "metrics should surface the oversize counter: {metrics}"
     );
     shutdown(addr, thread);
+}
+
+/// An inline BLIF job whose source is padded with `#` comment lines: every
+/// line carries characters the encoder escapes (quote, backslash, tab, the
+/// newline) and multi-byte UTF-8, so the decoder alternates between plain
+/// runs and escapes over the whole line.
+fn padded_inline(source: &str, min_padding: usize) -> String {
+    let comment =
+        "# padding \"quoted\" back\\slash\ttab \u{e9}\u{263a}\u{1f600} ........................\n";
+    let mut padded = comment.repeat(min_padding.div_ceil(comment.len()));
+    padded.push_str(source);
+    padded
+}
+
+fn inline_spec(name: &str, source: String) -> JobSpec {
+    let mut spec = JobSpec::named(name).with_seed(7).with_accuracy(0.10, 0.95);
+    spec.circuit = CircuitRef::Inline {
+        name: name.to_string(),
+        source,
+        format: NetlistFormat::Blif,
+    };
+    spec
+}
+
+#[test]
+fn large_inline_netlist_is_decoded_in_linear_time() {
+    const PADDING: usize = 8 << 20;
+    let source = blif::write(&iscas89::load("s27").expect("s27"));
+    let plain = inline_spec("s27_inline", source.clone());
+    let padded = inline_spec("s27_inline", padded_inline(&source, PADDING));
+    let reference = serial_estimate(&plain);
+
+    // Over TCP: the multi-MiB submit line is accepted, and the job's
+    // estimate equals the unpadded source's bit for bit.
+    let (addr, thread) = start_server(2, 2_000);
+    let mut client = Client::connect(addr).expect("connect");
+    let started = std::time::Instant::now();
+    let job_id = client.submit(&padded).expect("padded submit accepted");
+    let result = client.wait_result(job_id).expect("padded result");
+    assert_matches_serial(&result, &reference);
+    let plain_id = client.submit(&plain).expect("plain submit accepted");
+    let plain_result = client.wait_result(plain_id).expect("plain result");
+    assert_eq!(
+        result.mean_power_w.to_bits(),
+        plain_result.mean_power_w.to_bits()
+    );
+    shutdown(addr, thread);
+    // A quadratic decoder needs hours for this line; linear decoding takes
+    // well under a second even in a debug build.
+    assert!(
+        started.elapsed().as_secs() < 60,
+        "took {:?}",
+        started.elapsed()
+    );
+
+    // A checkpoint file embedding the padded source round-trips on disk
+    // (a tighter target, so the session is checkpointable before it ends).
+    let padded = padded.with_accuracy(0.04, 0.99);
+    let circuit = padded.circuit.load().expect("padded source parses");
+    let input_model = padded.parsed_input_model().expect("input model");
+    let mut session = DipeEstimator::new()
+        .start(&circuit, &padded.config(), &input_model, 0)
+        .expect("start");
+    let checkpoint = loop {
+        if let Some(checkpoint) = session.checkpoint() {
+            break checkpoint;
+        }
+        if let Progress::Done(_) = session.step(CycleBudget::cycles(400)).expect("step") {
+            panic!("finished before a checkpoint");
+        }
+    };
+    let file = CheckpointFile {
+        job: padded,
+        checkpoint,
+    };
+    let dir = std::env::temp_dir().join(format!("dipe-serve-large-inline-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("checkpoint dir");
+    let path = dir.join("padded.ckpt.json");
+    file.save(&path).expect("save");
+    assert!(std::fs::metadata(&path).expect("metadata").len() > PADDING as u64);
+    let back = CheckpointFile::load(&path).expect("load");
+    assert_eq!(back, file);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
